@@ -110,6 +110,39 @@ impl Bitmap {
         }
         out
     }
+
+    /// Gather with optional indices: `None` slots are invalid.
+    pub fn take_opt(&self, indices: &[Option<usize>]) -> Bitmap {
+        let mut out = Bitmap::new();
+        for idx in indices {
+            out.push(idx.is_some_and(|i| self.is_valid(i)));
+        }
+        out
+    }
+
+    /// Append every bit of `other`, a word at a time: whole words are copied
+    /// when this bitmap's length is a multiple of 64, and shifted across the
+    /// word boundary otherwise. The result equals pushing `other`'s bits one
+    /// by one, trailing zero bits and the NULL count included.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &word in &other.words {
+                *self
+                    .words
+                    .last_mut()
+                    .expect("a bitmap with a partial word has a last word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.unset += other.unset;
+        // `other`'s bits beyond its length are zero, so the spilled word past
+        // the new length (if any) is zero too and can be dropped.
+        self.words.truncate(self.len.div_ceil(64));
+    }
 }
 
 /// An immutable, typed column of values.
@@ -482,22 +515,15 @@ impl Column {
     pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
         macro_rules! take_opt_typed {
             ($variant:ident, $data:ident, $bitmap:ident, $null:expr, $copy:expr) => {{
-                let mut out = Vec::with_capacity(indices.len());
-                let mut validity = Bitmap::new();
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            #[allow(clippy::redundant_closure_call)]
-                            out.push($copy(&$data[*i]));
-                            validity.push($bitmap.is_valid(*i));
-                        }
-                        None => {
-                            out.push($null);
-                            validity.push(false);
-                        }
-                    }
-                }
-                Column::$variant(out, validity)
+                let out = indices
+                    .iter()
+                    .map(|idx| match idx {
+                        #[allow(clippy::redundant_closure_call)]
+                        Some(i) => $copy(&$data[*i]),
+                        None => $null,
+                    })
+                    .collect();
+                Column::$variant(out, $bitmap.take_opt(indices))
             }};
         }
         match self {
@@ -521,27 +547,14 @@ impl Column {
                 codes,
                 dict,
                 bitmap,
-            } => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut validity = Bitmap::new();
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            out.push(codes[*i]);
-                            validity.push(bitmap.is_valid(*i));
-                        }
-                        None => {
-                            out.push(0);
-                            validity.push(false);
-                        }
-                    }
-                }
-                Column::Dict {
-                    codes: out,
-                    dict: Arc::clone(dict),
-                    bitmap: validity,
-                }
-            }
+            } => Column::Dict {
+                codes: indices
+                    .iter()
+                    .map(|idx| idx.map_or(0, |i| codes[i]))
+                    .collect(),
+                dict: Arc::clone(dict),
+                bitmap: bitmap.take_opt(indices),
+            },
             Column::Null(_) => Column::Null(indices.len()),
             Column::Mixed(v) => Column::from_values(
                 indices
@@ -569,9 +582,7 @@ impl Column {
                     match part {
                         Column::$variant(v, b) => {
                             data.extend(v.iter().cloned());
-                            for i in 0..v.len() {
-                                validity.push(b.is_valid(i));
-                            }
+                            validity.extend_from(b);
                         }
                         _ => {
                             ok = false;
@@ -610,9 +621,7 @@ impl Column {
                             } = part
                             {
                                 codes.extend_from_slice(c);
-                                for i in 0..c.len() {
-                                    validity.push(bitmap.is_valid(i));
-                                }
+                                validity.extend_from(bitmap);
                             }
                         }
                         return Column::Dict {
@@ -934,6 +943,65 @@ mod tests {
         let built = Column::from_values((0..70).map(Value::Int).collect());
         let taken = built.take(&(0..70).collect::<Vec<_>>());
         assert_eq!(built, taken);
+    }
+
+    #[test]
+    fn extend_from_equals_bit_by_bit_push() {
+        // SplitMix64: a dependency-free source of pseudo-random bits.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut random_bitmap = |len: usize, null_share_pct: u64| {
+            let mut bitmap = Bitmap::new();
+            for _ in 0..len {
+                bitmap.push(next() % 100 >= null_share_pct);
+            }
+            bitmap
+        };
+        // Prefix lengths cover the aligned (0, 64, 128) and every unaligned
+        // offset class; suffixes cover empty, sub-word, exact-word and
+        // multi-word tails. Null shares of 0 keep both sides all-valid.
+        for prefix_len in [0, 1, 5, 63, 64, 65, 100, 127, 128, 129] {
+            for suffix_len in [0, 1, 7, 63, 64, 65, 130, 200] {
+                for (prefix_nulls, suffix_nulls) in [(0, 0), (30, 0), (0, 30), (50, 50)] {
+                    let prefix = random_bitmap(prefix_len, prefix_nulls);
+                    let suffix = random_bitmap(suffix_len, suffix_nulls);
+                    let mut extended = prefix.clone();
+                    extended.extend_from(&suffix);
+                    let mut pushed = prefix.clone();
+                    for i in 0..suffix.len() {
+                        pushed.push(suffix.is_valid(i));
+                    }
+                    assert_eq!(
+                        extended, pushed,
+                        "prefix {prefix_len} ({prefix_nulls}% NULL) + suffix {suffix_len} ({suffix_nulls}% NULL)"
+                    );
+                }
+            }
+        }
+        // All-valid parts built by the constructor extend to the constructor.
+        let mut joined = Bitmap::all_valid(70);
+        joined.extend_from(&Bitmap::all_valid(90));
+        assert_eq!(joined, Bitmap::all_valid(160));
+    }
+
+    #[test]
+    fn take_opt_bitmap_marks_missing_slots_invalid() {
+        let mut bitmap = Bitmap::new();
+        for valid in [true, false, true] {
+            bitmap.push(valid);
+        }
+        let taken = bitmap.take_opt(&[Some(2), None, Some(1), Some(0)]);
+        let mut expected = Bitmap::new();
+        for valid in [true, false, false, true] {
+            expected.push(valid);
+        }
+        assert_eq!(taken, expected);
     }
 
     #[test]

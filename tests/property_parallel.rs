@@ -25,9 +25,11 @@
 
 use caesura::engine::parallel::{self, ExecConfig};
 use caesura::engine::{
-    ops, BinaryOp, DataType, EngineError, Expr, ScalarFunc, Schema, Table, TableBuilder, Value,
+    ops, BinaryOp, Bitmap, Column, DataType, DateValue, EngineError, Expr, ScalarFunc, Schema,
+    Table, TableBuilder, Value,
 };
 use rand::{Rng, SeedableRng, StdRng};
+use std::sync::Arc;
 
 const THREADS: &[usize] = &[2, 4, 8];
 const MORSEL_ROWS: &[usize] = &[1, 7, 1024];
@@ -551,5 +553,192 @@ fn random_operator_pipelines_are_parallel_equivalent() {
             let sorted = ops::sort(&filtered, &keys)?;
             ops::aggregate(&sorted, &group_by, &aggs)
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The gather kernels themselves, for every column representation.
+// ---------------------------------------------------------------------------
+
+/// One column per storage representation, `rows` long, with roughly
+/// `null_share` of its slots NULL (0.0 gives all-valid bitmaps). Invalid
+/// slots of the typed variants hold the placeholders the builders write, so
+/// the gathered bytes cover NULL placeholders too.
+fn every_representation(rng: &mut StdRng, rows: usize, null_share: f64) -> Vec<(String, Column)> {
+    let mut valid = || {
+        let mut bitmap = Bitmap::new();
+        let bits: Vec<bool> = (0..rows).map(|_| !rng.gen_bool(null_share)).collect();
+        for &bit in &bits {
+            bitmap.push(bit);
+        }
+        (bits, bitmap)
+    };
+    let (bool_bits, bool_valid) = valid();
+    let (int_bits, int_valid) = valid();
+    let (float_bits, float_valid) = valid();
+    let (utf8_bits, utf8_valid) = valid();
+    let (date_bits, date_valid) = valid();
+    let (image_bits, image_valid) = valid();
+    let (text_bits, text_valid) = valid();
+    let (dict_bits, dict_valid) = valid();
+    let mixed_bits: Vec<bool> = (0..rows).map(|_| !rng.gen_bool(null_share)).collect();
+    let strings = |bits: &[bool], prefix: &str| -> Vec<Arc<str>> {
+        bits.iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                Arc::from(if v {
+                    format!("{prefix}{}", i % 11)
+                } else {
+                    String::new()
+                })
+            })
+            .collect()
+    };
+    let entries: Arc<Vec<Arc<str>>> =
+        Arc::new(["Heat", "Spurs", "Bulls"].map(Arc::<str>::from).to_vec());
+    let codes: Vec<u32> = dict_bits
+        .iter()
+        .map(|&v| if v { rng.gen_range(0u32..3) } else { 0 })
+        .collect();
+    let mixed: Vec<Value> = mixed_bits
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| match (v, i % 3) {
+            (false, _) => Value::Null,
+            (true, 0) => Value::Int(i as i64),
+            (true, 1) => Value::str(format!("m{i}")),
+            (true, _) => Value::Float(i as f64 / 4.0),
+        })
+        .collect();
+    vec![
+        (
+            "Bool".into(),
+            Column::Bool(
+                bool_bits.iter().map(|&v| v && rng.gen_bool(0.5)).collect(),
+                bool_valid,
+            ),
+        ),
+        (
+            "Int64".into(),
+            Column::Int64(
+                int_bits
+                    .iter()
+                    .map(|&v| if v { rng.gen_range(-1000i64..1000) } else { 0 })
+                    .collect(),
+                int_valid,
+            ),
+        ),
+        (
+            "Float64".into(),
+            Column::Float64(
+                float_bits
+                    .iter()
+                    .map(|&v| {
+                        if v {
+                            rng.gen_range(-800i64..800) as f64 / 4.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect(),
+                float_valid,
+            ),
+        ),
+        (
+            "Utf8".into(),
+            Column::Utf8(strings(&utf8_bits, "s"), utf8_valid),
+        ),
+        (
+            "Date".into(),
+            Column::Date(
+                date_bits
+                    .iter()
+                    .map(|&v| {
+                        if v {
+                            DateValue {
+                                year: rng.gen_range(1400i64..2000) as i32,
+                                month: rng.gen_range(1u8..13),
+                                day: rng.gen_range(1u8..29),
+                            }
+                        } else {
+                            DateValue::from_year(0)
+                        }
+                    })
+                    .collect(),
+                date_valid,
+            ),
+        ),
+        (
+            "Image".into(),
+            Column::Image(strings(&image_bits, "img/"), image_valid),
+        ),
+        (
+            "Text".into(),
+            Column::Text(strings(&text_bits, "doc "), text_valid),
+        ),
+        (
+            "Dict".into(),
+            Column::Dict {
+                codes,
+                dict: entries,
+                bitmap: dict_valid,
+            },
+        ),
+        ("Null".into(), Column::Null(rows)),
+        ("Mixed".into(), Column::Mixed(mixed)),
+    ]
+}
+
+#[test]
+fn gather_kernels_match_sequential_take_for_every_representation() {
+    let mut rng = StdRng::seed_from_u64(0x6A7E);
+    // Index counts: empty, below one morsel, and counts that are not a
+    // multiple of any configured `morsel_rows` above 1.
+    let index_lens = [0usize, 1, 6, 13, 1025, 2101];
+    for rows in [0usize, 1, 37, 500] {
+        for null_share in [0.0, 0.2] {
+            let columns = every_representation(&mut rng, rows, null_share);
+            for &len in &index_lens {
+                if rows == 0 && len > 0 {
+                    continue;
+                }
+                // Random indices repeat rows (every length above `rows`
+                // must), and the all-`None` and mostly-`Some` optional
+                // indices pad with NULL slots.
+                let indices: Vec<usize> = (0..len).map(|_| rng.gen_range(0..rows)).collect();
+                let padded: Vec<Option<usize>> = indices
+                    .iter()
+                    .map(|&i| if rng.gen_bool(0.25) { None } else { Some(i) })
+                    .collect();
+                let dense: Vec<Option<usize>> = indices.iter().map(|&i| Some(i)).collect();
+                let all_none: Vec<Option<usize>> = vec![None; len];
+                for (kind, column) in &columns {
+                    let expected = column.take(&indices);
+                    for config in parallel_configs() {
+                        let label = format!(
+                            "{kind}, {rows} rows, {null_share} NULL, {len} indices \
+                             [threads={}, morsel_rows={}]",
+                            config.threads, config.morsel_rows
+                        );
+                        assert_eq!(
+                            parallel::take_column(column, &indices, &config),
+                            expected,
+                            "take_column differs: {label}"
+                        );
+                        for (opt_kind, opt) in [
+                            ("padded", &padded),
+                            ("dense", &dense),
+                            ("all-None", &all_none),
+                        ] {
+                            assert_eq!(
+                                parallel::take_opt_column(column, opt, &config),
+                                column.take_opt(opt),
+                                "take_opt_column ({opt_kind}) differs: {label}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -87,6 +87,7 @@ mod tests {
     use super::*;
     use crate::client::{CountingLlm, ScriptedLlm};
     use caesura_modal::ImageObject;
+    use std::sync::Arc;
 
     fn doc_request(doc: &str, question: &str) -> PerceptionRequest {
         PerceptionRequest {
@@ -124,7 +125,9 @@ mod tests {
     #[test]
     fn image_requests_render_the_annotation_caption() {
         let request = PerceptionRequest {
-            input: PerceptionInput::Image(ImageObject::new("img/1.png").with_object("sword", 2)),
+            input: PerceptionInput::Image(Arc::new(
+                ImageObject::new("img/1.png").with_object("sword", 2),
+            )),
             question: "How many swords are depicted?".into(),
         };
         let convo = PerceptionLlm::<ScriptedLlm>::conversation(&request);

@@ -237,8 +237,9 @@ pub enum PerceptionInput {
     /// A full text document (TextQA). `Arc`-shared with the source column
     /// and the dedup index, so large documents are never copied.
     Document(Arc<str>),
-    /// An annotated image (VisualQA / Image Select).
-    Image(ImageObject),
+    /// An annotated image (VisualQA / Image Select). `Arc`-shared with the
+    /// [`ImageStore`](crate::ImageStore), so requests never copy annotations.
+    Image(Arc<ImageObject>),
 }
 
 impl PerceptionInput {
@@ -361,15 +362,16 @@ impl PerceptionBatch {
     }
 
     /// Record one row's question about an image, deduplicating by image key
-    /// (annotations are immutable per key within a store). The image is only
-    /// cloned for genuinely new `(image, question)` pairs.
-    pub fn push_image(&mut self, image: &ImageObject, question: &str) {
+    /// (annotations are immutable per key within a store). The `Arc`-shared
+    /// image is never copied — new `(image, question)` pairs only bump its
+    /// reference count.
+    pub fn push_image(&mut self, image: &Arc<ImageObject>, question: &str) {
         self.push_inner(
             1,
             &image.key,
             question,
             || Arc::from(image.key.as_str()),
-            || PerceptionInput::Image(image.clone()),
+            || PerceptionInput::Image(Arc::clone(image)),
         );
     }
 
@@ -942,7 +944,7 @@ mod tests {
 
     #[test]
     fn image_requests_dedup_by_image_key() {
-        let img = ImageObject::new("img/1.png").with_object("sword", 2);
+        let img = Arc::new(ImageObject::new("img/1.png").with_object("sword", 2));
         let mut batch = PerceptionBatch::new();
         for _ in 0..3 {
             batch.push_image(&img, "How many swords are depicted?");
@@ -954,10 +956,29 @@ mod tests {
     fn modalities_never_share_dedup_slots() {
         // A document whose text equals an image key must not collide with
         // that image's request.
-        let img = ImageObject::new("img/1.png");
+        let img = Arc::new(ImageObject::new("img/1.png"));
         let mut batch = PerceptionBatch::new();
         batch.push_document(&Arc::from("img/1.png"), "What is depicted?");
         batch.push_image(&img, "What is depicted?");
         assert_eq!(batch.unique_len(), 2);
+    }
+
+    #[test]
+    fn new_image_questions_share_the_image_instead_of_copying_it() {
+        let img = Arc::new(ImageObject::new("img/1.png").with_object("sword", 2));
+        let questions = ["How many swords?", "Is a horse depicted?", "What style?"];
+        let mut batch = PerceptionBatch::new();
+        for question in questions {
+            for _ in 0..3 {
+                batch.push_image(&img, question);
+            }
+        }
+        // One reference per unique request plus ours: no deep copies, and
+        // the duplicate rows still dedup by image key.
+        assert_eq!(Arc::strong_count(&img), 1 + questions.len());
+        assert_eq!(batch.unique_len(), questions.len());
+        assert_eq!(batch.len(), 3 * questions.len());
+        drop(batch);
+        assert_eq!(Arc::strong_count(&img), 1);
     }
 }

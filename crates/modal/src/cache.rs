@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn scopes_and_modalities_never_share_entries() {
         let cache = PerceptionCache::with_capacity(8);
-        let image = PerceptionInput::Image(crate::ImageObject::new("img/1.png"));
+        let image = PerceptionInput::Image(Arc::new(crate::ImageObject::new("img/1.png")));
         // A document whose text equals an image key, asked the same question.
         let document = doc("img/1.png");
         cache.insert(CacheScope::VisualQa, &image, "Q?", Value::Int(1));
@@ -911,7 +911,7 @@ mod tests {
             None
         );
         // Nor does a different scope under the same identity.
-        let image = PerceptionInput::Image(crate::ImageObject::new("report A"));
+        let image = PerceptionInput::Image(Arc::new(crate::ImageObject::new("report A")));
         assert_eq!(
             cache.disk_get("model-a", CacheScope::VisualQa, &image, "Q?"),
             None

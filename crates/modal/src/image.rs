@@ -9,6 +9,7 @@
 //! the one the planner has to reason about.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A single annotated image.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,9 +134,14 @@ pub fn normalize_entity(entity: &str) -> String {
 }
 
 /// A keyed collection of annotated images, addressable by image key.
+///
+/// Images are immutable once stored and shared through `Arc`: cloning a
+/// store is a reference-count bump (every per-query executor holds one), and
+/// [`ImageStore::insert`] copies the key map only when another clone still
+/// shares it (copy on write), never the annotations.
 #[derive(Debug, Clone, Default)]
 pub struct ImageStore {
-    images: BTreeMap<String, ImageObject>,
+    images: Arc<BTreeMap<String, Arc<ImageObject>>>,
 }
 
 impl ImageStore {
@@ -145,12 +151,19 @@ impl ImageStore {
     }
 
     /// Insert an image (replacing any previous image with the same key).
+    /// Clones made earlier keep seeing the store as it was.
     pub fn insert(&mut self, image: ImageObject) {
-        self.images.insert(image.key.clone(), image);
+        Arc::make_mut(&mut self.images).insert(image.key.clone(), Arc::new(image));
     }
 
     /// Look an image up by key.
     pub fn get(&self, key: &str) -> Option<&ImageObject> {
+        self.images.get(key).map(|image| &**image)
+    }
+
+    /// Look an image up by key as a shared handle, for callers that keep the
+    /// image beyond the borrow of the store (perception requests).
+    pub fn get_shared(&self, key: &str) -> Option<&Arc<ImageObject>> {
         self.images.get(key)
     }
 
@@ -166,7 +179,7 @@ impl ImageStore {
 
     /// Iterate over all images in key order.
     pub fn iter(&self) -> impl Iterator<Item = &ImageObject> {
-        self.images.values()
+        self.images.values().map(|image| &**image)
     }
 
     /// All keys in order.
@@ -236,5 +249,40 @@ mod tests {
         assert_eq!(store.keys(), vec!["img/1.png", "img/2.png"]);
         assert!(store.get("img/1.png").is_some());
         assert!(store.get("img/9.png").is_none());
+    }
+
+    #[test]
+    fn a_clone_shares_the_stored_images() {
+        let mut store = ImageStore::new();
+        store.insert(madonna_image());
+        let copy = store.clone();
+        assert!(std::ptr::eq(
+            store.get("img/1.png").unwrap(),
+            copy.get("img/1.png").unwrap()
+        ));
+    }
+
+    #[test]
+    fn insert_into_a_clone_leaves_the_original_unchanged() {
+        let mut original = ImageStore::new();
+        original.insert(madonna_image());
+        let mut copy = original.clone();
+        copy.insert(ImageObject::new("img/2.png").with_object("iris", 3));
+        // Copy on write copies the key map, not the annotations.
+        assert!(std::ptr::eq(
+            original.get("img/1.png").unwrap(),
+            copy.get("img/1.png").unwrap()
+        ));
+        copy.insert(ImageObject::new("img/1.png").with_object("horse", 1));
+
+        assert_eq!(original.len(), 1);
+        assert_eq!(original.keys(), vec!["img/1.png"]);
+        assert_eq!(original.get("img/1.png"), Some(&madonna_image()));
+        assert!(original.get("img/2.png").is_none());
+
+        assert_eq!(copy.len(), 2);
+        assert_eq!(copy.keys(), vec!["img/1.png", "img/2.png"]);
+        assert_eq!(copy.get("img/1.png").unwrap().count_of("horse"), 1);
+        assert_eq!(copy.get("img/1.png").unwrap().count_of("sword"), 0);
     }
 }

@@ -342,7 +342,7 @@ fn gather_image_requests(
     let mut collector = PerceptionBatch::with_capacity(table.num_rows());
     for row in table.rows() {
         match row.get(idx) {
-            Value::Image(key) => match store.get(&key) {
+            Value::Image(key) => match store.get_shared(&key) {
                 Some(image) => collector.push_image(image, question),
                 None => {
                     let error = EngineError::execution(format!(
